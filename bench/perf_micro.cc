@@ -18,8 +18,8 @@
 using namespace tapo;
 
 // ---------------------------------------------------------------------------
-// Global allocation counter, used by the copy-vs-view A/B benchmarks to
-// demonstrate that the view path does zero per-packet allocations. Relaxed
+// Global allocation counter, used by the demux/analyze benchmarks to
+// report per-packet allocation costs of the view path. Relaxed
 // atomics: the benchmarks are single-threaded; we only need totals.
 // ---------------------------------------------------------------------------
 namespace {
@@ -177,29 +177,17 @@ const net::PacketTrace& multi_flow_trace() {
   return trace;
 }
 
-/// Demux A/B: Arg(0) = copying demux_flows, Arg(1) = zero-copy
-/// demux_flow_views. Reports per-packet allocation and byte costs of each
-/// representation alongside throughput.
+/// Zero-copy demux: per-packet allocation and representation bytes
+/// (the index pool) alongside throughput.
 void BM_Demux(benchmark::State& state) {
-  const bool view = state.range(0) != 0;
   const auto& trace = multi_flow_trace();
   const auto pkts = static_cast<double>(trace.size());
   AllocSnapshot before;
   std::uint64_t rep_bytes = 0;
   for (auto _ : state) {
-    if (view) {
-      const auto views = analysis::demux_flow_views(trace);
-      rep_bytes = views.index_bytes();
-      benchmark::DoNotOptimize(views.size());
-    } else {
-      const auto flows = analysis::demux_flows(trace);
-      rep_bytes = 0;
-      for (const auto& f : flows) {
-        rep_bytes += f.packets.size() * sizeof(analysis::FlowPacket) +
-                     f.sack_pool.size() * sizeof(net::SackBlock);
-      }
-      benchmark::DoNotOptimize(flows.size());
-    }
+    const auto views = analysis::demux_flow_views(trace);
+    rep_bytes = views.index_bytes();
+    benchmark::DoNotOptimize(views.size());
   }
   const AllocSnapshot after;
   const double iters = static_cast<double>(state.iterations());
@@ -211,27 +199,17 @@ void BM_Demux(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_Demux)->Arg(0)->Arg(1);
+BENCHMARK(BM_Demux);
 
-/// Analyzer A/B over the same trace: Arg(0) = materialize owning Flows and
-/// analyze those; Arg(1) = analyze FlowViews straight off the arena (the
-/// Analyzer::analyze default). Classification output is identical by
-/// construction (shared cursor-templated mimic) and by test.
+/// Batch Analyzer::analyze over the same trace: demux + per-view mimic,
+/// reading the arena in place.
 void BM_AnalyzeTrace(benchmark::State& state) {
-  const bool view = state.range(0) != 0;
   const auto& trace = multi_flow_trace();
   analysis::Analyzer analyzer;
   AllocSnapshot before;
   for (auto _ : state) {
-    if (view) {
-      auto result = analyzer.analyze(trace);
-      benchmark::DoNotOptimize(result.flows.size());
-    } else {
-      const auto flows = analysis::demux_flows(trace);
-      std::size_t n = 0;
-      for (const auto& f : flows) n += analyzer.analyze_flow(f).stalls.size();
-      benchmark::DoNotOptimize(n);
-    }
+    auto result = analyzer.analyze(trace);
+    benchmark::DoNotOptimize(result.flows.size());
   }
   const AllocSnapshot after;
   const double iters = static_cast<double>(state.iterations());
@@ -243,7 +221,7 @@ void BM_AnalyzeTrace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_AnalyzeTrace)->Arg(0)->Arg(1);
+BENCHMARK(BM_AnalyzeTrace);
 
 void BM_PcapWrite(benchmark::State& state) {
   const auto& trace = sample_trace();

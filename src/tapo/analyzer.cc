@@ -1,16 +1,12 @@
 #include "tapo/analyzer.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "net/chunk.h"
-#include "tapo/live.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
 
@@ -84,11 +80,6 @@ AnalyzerConfig& AnalyzerConfig::with_rto_fraction(double f) {
         "AnalyzerConfig: rto_fraction must be > 0, got " + std::to_string(f));
   }
   rto_fraction = f;
-  return *this;
-}
-
-AnalyzerConfig& AnalyzerConfig::with_inflight_sampling(bool on) {
-  sample_inflight_on_ack = on;
   return *this;
 }
 
@@ -239,8 +230,8 @@ struct PktAnno {
 };
 
 
-/// The one packet shape the mimic understands. Both cursors lower their
-/// storage to it on the fly; it is stack data plus a borrowed SACK span.
+/// The one packet shape the mimic understands: a CapturedPacket lowered on
+/// the fly to stack data plus a borrowed SACK span.
 struct PacketView {
   TimePoint ts;
   net::Seq32 seq;
@@ -253,67 +244,23 @@ struct PacketView {
   bool truncated = false;  // snaplen cut this record's options
 };
 
-/// Cursor over an owning Flow (compact FlowPackets + out-of-line sack pool).
-class FlowCursor {
- public:
-  explicit FlowCursor(const Flow& flow) : flow_(&flow) {}
-  const FlowMeta& meta() const { return *flow_; }
-  std::size_t size() const { return flow_->packets.size(); }
-  PacketView at(std::size_t i) const {
-    const FlowPacket& p = flow_->packets[i];
-    return {p.ts,          p.seq,    p.ack,          p.payload,
-            p.window,      p.flags,  p.from_server,  flow_->sacks_of(p),
-            p.truncated};
-  }
-
- private:
-  const Flow* flow_;
-};
-
-/// Cursor over a non-owning FlowView: reads CapturedPackets straight from
-/// the PacketTrace arena; nothing per packet is materialized anywhere.
-class ViewCursor {
- public:
-  explicit ViewCursor(const FlowView& view) : view_(&view) {}
-  const FlowMeta& meta() const { return *view_; }
-  std::size_t size() const { return view_->size(); }
-  PacketView at(std::size_t i) const {
-    const net::CapturedPacket& cp = view_->packet(i);
-    return {cp.timestamp,
-            cp.tcp.seq,
-            cp.tcp.ack,
-            cp.payload_len,
-            cp.tcp.window,
-            cp.tcp.flags,
-            cp.key == view_->server_to_client,
-            cp.tcp.sack_blocks.span(),
-            cp.truncated};
-  }
-
- private:
-  const FlowView* view_;
-};
-
-/// The TCP-stack mimic + stall classifier, generic over packet storage:
-/// instantiated with FlowCursor (owning path) and ViewCursor (zero-copy
-/// path) so both run byte-identical classification code.
-template <typename Cursor>
+/// The TCP-stack mimic + stall classifier over one FlowView. Reads the
+/// PacketTrace arena in place; nothing per packet is materialized.
 class FlowMimic {
  public:
-  FlowMimic(Cursor cursor, const AnalyzerConfig& config)
-      : cursor_(cursor),
-        meta_(cursor.meta()),
+  FlowMimic(const FlowView& view, const AnalyzerConfig& config)
+      : view_(view),
         config_(config),
         rto_(config.rto) {
-    if (meta_.mid_stream) {
+    if (view_.mid_stream) {
       // No handshake in the capture: seed sequence state from the first
       // server data packet and remember that this "stream head" is
       // synthetic — it is where the *capture* starts, not necessarily
       // where a response starts.
-      snd_nxt_ = meta_.first_server_data_seq;
+      snd_nxt_ = view_.first_server_data_seq;
       quality_.mid_stream = true;
     } else {
-      snd_nxt_ = meta_.server_isn + 1;
+      snd_nxt_ = view_.server_isn + 1;
     }
     snd_una_ = snd_nxt_;
     stream_head_ = snd_nxt_;
@@ -323,14 +270,21 @@ class FlowMimic {
   void run(FlowAnalysis& out);
 
  private:
-  /// The one packet accessor the mimic uses: cursor record with the
-  /// timestamp floored to config ts_quantum (identity when the quantum is
-  /// off). Keeping this the single ingest point is what makes the
+  /// The one packet accessor the mimic uses: the view's i-th packet with
+  /// the timestamp floored to config ts_quantum (identity when the quantum
+  /// is off). Keeping this the single ingest point is what makes the
   /// quantization-invariance guarantee structural rather than per-site.
   PacketView pkt(std::size_t i) const {
-    PacketView p = cursor_.at(i);
-    p.ts = floor_to(p.ts, config_.ts_quantum);
-    return p;
+    const net::CapturedPacket& cp = view_.packet(i);
+    return {floor_to(cp.timestamp, config_.ts_quantum),
+            cp.tcp.seq,
+            cp.tcp.ack,
+            cp.payload_len,
+            cp.tcp.window,
+            cp.tcp.flags,
+            cp.key == view_.server_to_client,
+            cp.tcp.sack_blocks.span(),
+            cp.truncated};
   }
 
   SegMimic* find_seg(net::Seq32 seq);
@@ -348,8 +302,7 @@ class FlowMimic {
                                 TimePoint stall_start, bool& f_double) const;
   net::Seq32 response_end_for(const SegMimic& seg) const;
 
-  const Cursor cursor_;
-  const FlowMeta& meta_;
+  const FlowView& view_;
   const AnalyzerConfig& config_;
   tcp::RtoEstimator rto_;
 
@@ -381,8 +334,7 @@ class FlowMimic {
   std::uint64_t rto_sample_count_ = 0;
 };
 
-template <typename Cursor>
-SegMimic* FlowMimic<Cursor>::find_seg(net::Seq32 seq) {
+SegMimic* FlowMimic::find_seg(net::Seq32 seq) {
   // Segments are sorted by start; binary search for the containing one.
   auto it = std::upper_bound(
       segs_.begin(), segs_.end(), seq,
@@ -392,8 +344,7 @@ SegMimic* FlowMimic<Cursor>::find_seg(net::Seq32 seq) {
   return net::seq_in_range(seq, it->start, it->end) ? &*it : nullptr;
 }
 
-template <typename Cursor>
-bool FlowMimic<Cursor>::is_capture_dup(const PacketView& a,
+bool FlowMimic::is_capture_dup(const PacketView& a,
                                        const PacketView& b) const {
   // Identical header (direction, seq/ack, length, window, flags, SACKs)
   // within dup_window of each other. A retransmission repeats seq but
@@ -412,8 +363,7 @@ bool FlowMimic<Cursor>::is_capture_dup(const PacketView& a,
   return d <= config_.dup_window;
 }
 
-template <typename Cursor>
-std::uint32_t FlowMimic<Cursor>::packets_out() const {
+std::uint32_t FlowMimic::packets_out() const {
   std::uint32_t n = 0;
   for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
     if (!segs_[i].acked) ++n;
@@ -421,8 +371,7 @@ std::uint32_t FlowMimic<Cursor>::packets_out() const {
   return n;
 }
 
-template <typename Cursor>
-std::uint32_t FlowMimic<Cursor>::in_flight() const {
+std::uint32_t FlowMimic::in_flight() const {
   // Eq. 1: packets_out + retrans_out - (sacked_out + lost_out).
   std::uint32_t out = 0, retrans = 0, sacked = 0, lost = 0;
   for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
@@ -438,8 +387,7 @@ std::uint32_t FlowMimic<Cursor>::in_flight() const {
   return total > gone ? total - gone : 0;
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::mark_lost_by_sack() {
+void FlowMimic::mark_lost_by_sack() {
   std::uint32_t sacked_above = 0;
   for (std::size_t i = segs_.size(); i-- > first_unacked_idx_;) {
     SegMimic& s = segs_[i];
@@ -453,8 +401,7 @@ void FlowMimic<Cursor>::mark_lost_by_sack() {
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
+void FlowMimic::snapshot(PktAnno& a) const {
   a.state = state_;
   a.in_flight = in_flight();
   a.outstanding = packets_out();
@@ -466,8 +413,7 @@ void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
   a.established = established_;
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
+void FlowMimic::process_server_packet(const PacketView& p,
                                               PktAnno& a) {
   const std::uint32_t eff_len = p.payload + (p.flags.fin ? 1u : 0u);
   if (p.flags.syn) {
@@ -568,8 +514,7 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
+void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
                                       FlowAnalysis& out) {
   if (p.flags.syn) return;
   if (!established_) established_ = true;
@@ -582,7 +527,7 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
     out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
   }
 
-  rwnd_scaled_ = static_cast<std::uint32_t>(p.window) << meta_.client_wscale;
+  rwnd_scaled_ = static_cast<std::uint32_t>(p.window) << view_.client_wscale;
   if (rwnd_scaled_ == 0) out.had_zero_rwnd = true;
 
   if (p.payload > 0) {
@@ -716,29 +661,25 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
     }
   }
 
-  if (config_.sample_inflight_on_ack) {
-    out.inflight_on_ack.push_back(in_flight());
-  }
+  out.inflight_on_ack.push_back(in_flight());
   rto_sample_sum_us_ += static_cast<double>(rto_.rto().us());
   ++rto_sample_count_;
   (void)newly_sacked;
 }
 
-template <typename Cursor>
-net::Seq32 FlowMimic<Cursor>::response_end_for(const SegMimic& seg) const {
+net::Seq32 FlowMimic::response_end_for(const SegMimic& seg) const {
   auto it = head_seqs_.upper_bound(seg.start);
   if (it != head_seqs_.end()) return *it;
   return snd_nxt_;  // final: end of everything the server sent
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::run(FlowAnalysis& out) {
-  out.key = meta_.server_to_client;
-  out.init_rwnd_bytes = meta_.init_rwnd_bytes;
-  out.init_rwnd_mss = meta_.mss ? meta_.init_rwnd_bytes / meta_.mss : 0;
+void FlowMimic::run(FlowAnalysis& out) {
+  out.key = view_.server_to_client;
+  out.init_rwnd_bytes = view_.init_rwnd_bytes;
+  out.init_rwnd_mss = view_.mss ? view_.init_rwnd_bytes / view_.mss : 0;
 
-  annos_.resize(cursor_.size());
-  for (std::size_t i = 0; i < cursor_.size(); ++i) {
+  annos_.resize(view_.size());
+  for (std::size_t i = 0; i < view_.size(); ++i) {
     const PacketView p = pkt(i);
     PktAnno& a = annos_[i];
     if (p.truncated) ++quality_.truncated_packets;
@@ -787,9 +728,9 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   }
 
   // Transfer-level metrics.
-  if (cursor_.size() > 0) {
+  if (view_.size() > 0) {
     out.transmission_time =
-        pkt(cursor_.size() - 1).ts - pkt(0).ts;
+        pkt(view_.size() - 1).ts - pkt(0).ts;
   }
   for (const auto& s : segs_) out.unique_bytes += s.len();
   if (!out.rtt_samples_us.empty()) {
@@ -824,9 +765,9 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   // Average speed over the *active* data phase: first payload transmission
   // to flow end, minus stalled time — i.e. the transfer rate the service
   // delivers while actually moving data.
-  if (!segs_.empty() && cursor_.size() > 0) {
+  if (!segs_.empty() && view_.size() > 0) {
     const Duration data_phase =
-        pkt(cursor_.size() - 1).ts - segs_.front().tx_times.front();
+        pkt(view_.size() - 1).ts - segs_.front().tx_times.front();
     // Stalls that straddle the start of the data phase (e.g. a back-end
     // fetch ending in the first data packet) can push `active` to zero;
     // fall back to the raw data-phase rate then.
@@ -838,11 +779,10 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::detect_and_classify(FlowAnalysis& out) {
-  if (cursor_.size() == 0) return;
+void FlowMimic::detect_and_classify(FlowAnalysis& out) {
+  if (view_.size() == 0) return;
   TimePoint prev_ts = pkt(0).ts;
-  for (std::size_t i = 0; i + 1 < cursor_.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < view_.size(); ++i) {
     const TimePoint cur_ts = pkt(i + 1).ts;
     const Duration gap = cur_ts - prev_ts;
     prev_ts = cur_ts;
@@ -862,8 +802,7 @@ void FlowMimic<Cursor>::detect_and_classify(FlowAnalysis& out) {
   }
 }
 
-template <typename Cursor>
-StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
+StallRecord FlowMimic::classify_stall(std::size_t prev_idx,
                                       std::size_t cur_idx) const {
   const PktAnno& prev = annos_[prev_idx];
   const PktAnno& cur = annos_[cur_idx];
@@ -940,8 +879,7 @@ StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
   return rec;
 }
 
-template <typename Cursor>
-RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
+RetransCause FlowMimic::classify_retrans(const PktAnno& prev,
                                          const PktAnno& cur,
                                          TimePoint stall_start,
                                          bool& f_double) const {
@@ -965,7 +903,7 @@ RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
   //    cannot generate enough dupacks (§4.2).
   const net::Seq32 resp_end = response_end_for(seg);
   const std::uint32_t tail_zone =
-      config_.dupthres * static_cast<std::uint32_t>(meta_.mss);
+      config_.dupthres * static_cast<std::uint32_t>(view_.mss);
   if (genuinely_lost && net::distance(seg.end, resp_end) < tail_zone) {
     return RetransCause::kTailRetrans;
   }
@@ -974,7 +912,7 @@ RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
   //      attribute to whichever of cwnd / rwnd was the limit.
   if (genuinely_lost && prev.in_flight < config_.small_inflight) {
     const std::uint64_t cwnd_bytes =
-        static_cast<std::uint64_t>(prev.cwnd_est) * meta_.mss;
+        static_cast<std::uint64_t>(prev.cwnd_est) * view_.mss;
     if (cwnd_bytes <= prev.rwnd_scaled) return RetransCause::kSmallCwnd;
     return RetransCause::kSmallRwnd;
   }
@@ -1019,73 +957,27 @@ Analyzer::Analyzer(AnalyzerConfig config) : config_(config) {
   config_.validate();
 }
 
-FlowAnalysis Analyzer::analyze_flow(const Flow& flow) const {
-  FlowAnalysis out;
-  FlowMimic<FlowCursor> mimic(FlowCursor(flow), config_);
-  mimic.run(out);
-  return out;
-}
-
 FlowAnalysis Analyzer::analyze_flow(const FlowView& view) const {
   FlowAnalysis out;
-  FlowMimic<ViewCursor> mimic(ViewCursor(view), config_);
+  FlowMimic mimic(view, config_);
   mimic.run(out);
   return out;
 }
-
-namespace {
-
-/// Batch-over-streaming adapter: feeds every packet `for_each` yields
-/// through an unbounded LiveAnalyzer (no timeouts, no caps — nothing
-/// finalizes until flush, so every flow is analyzed whole, exactly like
-/// the old batch path), then restores first-packet flow order, which the
-/// LRU-driven flush does not preserve.
-template <typename ForEachPacket>
-AnalysisResult analyze_streamed(const AnalyzerConfig& config,
-                                const DemuxOptions& demux,
-                                ForEachPacket&& for_each) {
-  LiveConfig live_config;
-  live_config.with_analyzer(config)
-      .with_demux(demux)
-      .with_idle_timeout(Duration::max())
-      .with_fin_linger(Duration::max())
-      .with_max_flows(std::numeric_limits<std::size_t>::max())
-      .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max());
-
-  AnalysisResult result;
-  LiveAnalyzer live(live_config, LiveAnalyzer::FlowDoneFn(
-      [&result](const FlowAnalysis& fa) { result.flows.push_back(fa); }));
-  std::unordered_map<net::FlowKey, std::size_t, net::FlowKeyHash> first_seen;
-  for_each([&](const net::CapturedPacket& pkt) {
-    first_seen.try_emplace(pkt.key.canonical(), first_seen.size());
-    live.add_packet(pkt);
-  });
-  live.flush();
-  std::stable_sort(result.flows.begin(), result.flows.end(),
-                   [&first_seen](const FlowAnalysis& a, const FlowAnalysis& b) {
-                     return first_seen.at(a.key.canonical()) <
-                            first_seen.at(b.key.canonical());
-                   });
-  return result;
-}
-
-}  // namespace
 
 AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
                                  const DemuxOptions& demux) const {
-  return analyze_streamed(config_, demux, [&trace](auto&& feed) {
-    for (const net::CapturedPacket& pkt : trace.packets()) feed(pkt);
-  });
+  const FlowViewSet views = demux_flow_views(trace, demux);
+  AnalysisResult result;
+  result.flows.reserve(views.size());
+  for (const FlowView& view : views) {
+    result.flows.push_back(analyze_flow(view));
+  }
+  return result;
 }
 
 AnalysisResult Analyzer::analyze(const net::ChunkedTrace& trace,
                                  const DemuxOptions& demux) const {
-  return analyze_streamed(config_, demux, [&trace](auto&& feed) {
-    for (const net::TraceChunk& chunk : trace.chunks()) {
-      for (const net::CapturedPacket& pkt : chunk.packets()) feed(pkt);
-    }
-    for (const net::CapturedPacket& pkt : trace.open_packets()) feed(pkt);
-  });
+  return analyze(trace.to_trace(), demux);
 }
 
 }  // namespace tapo::analysis

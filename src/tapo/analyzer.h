@@ -66,8 +66,8 @@ struct StallRecord {
   std::uint32_t in_flight = 0;
   /// Retransmitted packet index / data packets in flow (Fig. 7a / 10a).
   double rel_position = 0.0;
-  /// Index (into the flow's packet sequence — Flow::packets or a
-  /// FlowView's packet_indices positions) of the packet ending the stall.
+  /// Position, within the FlowView's packet_indices, of the packet ending
+  /// the stall.
   std::size_t cur_pkt_index = 0;
   /// The classifier demoted this stall to kUndetermined because capture
   /// artifacts (a sequence gap, a mid-stream start) made the cause
@@ -159,8 +159,6 @@ struct AnalyzerConfig {
   /// A retransmission counts as timeout-driven when the segment had been
   /// quiet for at least this fraction of the estimated RTO.
   double rto_fraction = 0.9;
-  /// Collect Fig.-11 in-flight samples (costs memory on big traces).
-  bool sample_inflight_on_ack = true;
   /// Suppress adjacent identical-header records as capture duplicates
   /// (mirror ports / dual taps deliver both copies back to back). Off by
   /// default: even a pristine single-tap capture can legitimately contain
@@ -190,7 +188,6 @@ struct AnalyzerConfig {
   AnalyzerConfig& with_small_inflight(std::uint32_t n);  // > 0
   AnalyzerConfig& with_rto(const tcp::RtoConfig& cfg);
   AnalyzerConfig& with_rto_fraction(double f);           // > 0
-  AnalyzerConfig& with_inflight_sampling(bool on);
   /// Enables duplicate suppression with the given window (>= 0).
   AnalyzerConfig& with_dup_window(Duration w);
   /// Sets the declared capture-clock granularity (>= 0; 0 disables).
@@ -211,21 +208,16 @@ class Analyzer {
   /// Validates the config (std::invalid_argument on out-of-range fields).
   explicit Analyzer(AnalyzerConfig config = {});
 
-  /// Both overloads run the identical mimic/classifier over a packet
-  /// cursor; the Flow one reads owned FlowPackets, the FlowView one reads
-  /// the PacketTrace arena in place (zero-copy).
-  FlowAnalysis analyze_flow(const Flow& flow) const;
+  /// Runs the mimic/classifier over one flow, reading the PacketTrace
+  /// arena in place (zero-copy).
   FlowAnalysis analyze_flow(const FlowView& view) const;
 
-  /// Batch entry point, now a veneer over the streaming engine: every
-  /// packet is fed through an unbounded LiveAnalyzer (one engine for the
-  /// offline and live paths) and the finalized flows are returned in
-  /// first-packet order — exactly the order the old multi-pass batch
-  /// demux produced. Still zero-copy per flow: the per-flow arenas are
-  /// demuxed with demux_flow_views and analyzed in place.
+  /// Batch entry point: demux_flow_views, then analyze_flow per view.
+  /// Flows come back in first-packet order.
   AnalysisResult analyze(const net::PacketTrace& trace,
                          const DemuxOptions& demux = {}) const;
-  /// Same, over a chunked trace (retained chunks + open tail, in order).
+  /// Same, over a chunked trace (retained chunks + open tail, in order),
+  /// materialized into one contiguous trace first.
   AnalysisResult analyze(const net::ChunkedTrace& trace,
                          const DemuxOptions& demux = {}) const;
 

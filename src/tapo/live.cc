@@ -14,7 +14,6 @@ LiveConfig& LiveConfig::with_analyzer(const AnalyzerConfig& a) {
 }
 
 LiveConfig& LiveConfig::with_demux(const DemuxOptions& d) {
-  d.validate();
   demux = d;
   return *this;
 }
@@ -63,7 +62,6 @@ LiveConfig& LiveConfig::with_mem_budget(util::MemoryBudget* b) {
 
 void LiveConfig::validate() const {
   analyzer.validate();
-  demux.validate();
   if (idle_timeout <= Duration::zero()) {
     throw std::invalid_argument("LiveConfig: idle_timeout must be > 0");
   }
@@ -125,15 +123,7 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   count_flow_event("finalize");
   stats_.active_flows = flows_.size();
   if (!entry.trace.empty()) {
-    // The one analysis engine: demux core + per-flow kernel, invoked
-    // directly. Analyzer::analyze is a wrapper over *this* class, so
-    // calling it here would recurse.
-    const FlowViewSet views = demux_flow_views(entry.trace, config_.demux);
-    AnalysisResult result;
-    result.flows.reserve(views.size());
-    for (const FlowView& view : views) {
-      result.flows.push_back(analyzer_.analyze_flow(view));
-    }
+    AnalysisResult result = analyzer_.analyze(entry.trace, config_.demux);
     if (on_flow_done_) {
       for (const auto& fa : result.flows) on_flow_done_(fa);
     }

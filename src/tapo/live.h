@@ -66,7 +66,7 @@ struct LiveConfig {
 
   /// Throws std::invalid_argument on any unusable field (non-positive
   /// idle_timeout, zero max_flows, ...). Called by the LiveAnalyzer
-  /// constructors, plus the nested analyzer/demux validations.
+  /// constructors, plus the nested analyzer validation.
   void validate() const;
 };
 

@@ -7,88 +7,14 @@
 
 #include <sstream>
 
+#include "support/flow_builder.h"
+
 namespace tapo::analysis {
 namespace {
 
-constexpr std::uint32_t kMss = 1000;
-constexpr std::uint32_t kServerIsn = 5000;
-constexpr std::uint32_t kClientIsn = 1000;
-constexpr std::uint32_t kBigWindow = 63000;
-
-struct FlowBuilder {
-  Flow flow;
-
-  FlowBuilder() {
-    flow.server_to_client = {0xc0a80101, 0x0a000001, 80, 40001};
-    flow.saw_syn = true;
-    flow.saw_synack = true;
-    flow.server_isn = net::Seq32{kServerIsn};
-    flow.client_isn = net::Seq32{kClientIsn};
-    flow.mss = kMss;
-    flow.sack_permitted = true;
-    flow.init_rwnd_bytes = kBigWindow;
-  }
-
-  static net::Seq32 seg(int i) {
-    return net::Seq32{kServerIsn + 1 + static_cast<std::uint32_t>(i) * kMss};
-  }
-
-  FlowPacket& add(double t, bool from_server) {
-    FlowPacket& p = flow.append_packet();
-    p.ts = TimePoint::from_us(static_cast<std::int64_t>(t * 1e6));
-    p.from_server = from_server;
-    p.window = kBigWindow;
-    return p;
-  }
-
-  void handshake(double t = 0.0, double rtt = 0.1) {
-    auto& syn = add(t, false);
-    syn.seq = net::Seq32{kClientIsn};
-    syn.flags.syn = true;
-    auto& synack = add(t, true);
-    synack.seq = net::Seq32{kServerIsn};
-    synack.ack = net::Seq32{kClientIsn + 1};
-    synack.flags.syn = true;
-    synack.flags.ack = true;
-    auto& ack = add(t + rtt, false);
-    ack.seq = net::Seq32{kClientIsn + 1};
-    ack.ack = net::Seq32{kServerIsn + 1};
-    ack.flags.ack = true;
-  }
-
-  void request(double t, std::uint32_t len = 200) {
-    auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 1};
-    p.flags.ack = true;
-    p.payload = len;
-  }
-
-  void data(double t, int i, std::uint32_t len = kMss) {
-    auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.payload = len;
-  }
-
-  void fin(double t, int i) {
-    auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.flags.fin = true;
-  }
-
-  void ack(double t, net::Seq32 ackno, std::uint32_t window = kBigWindow) {
-    auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 201};
-    p.ack = ackno;
-    p.flags.ack = true;
-    p.window = window;
-  }
-
-  FlowAnalysis analyze(AnalyzerConfig cfg = {}) const {
-    return Analyzer(cfg).analyze_flow(flow);
-  }
-};
+using test::FlowBuilder;
+using test::kBigWindow;
+using test::kClientIsn;
 
 TEST(AnalyzerExtra, LostFinClassifiedAsTailRetransmission) {
   FlowBuilder b;
@@ -97,10 +23,10 @@ TEST(AnalyzerExtra, LostFinClassifiedAsTailRetransmission) {
   b.data(0.15, 0);
   b.data(0.15, 1);
   b.fin(0.15, 2);  // FIN right after the data — and it is lost
-  b.ack(0.25, FlowBuilder::seg(2));
+  b.ack_to(0.25, FlowBuilder::seg(2));
   // Timeout retransmission of the FIN.
   b.fin(0.65, 2);
-  b.ack(0.75, FlowBuilder::seg(2) + 1);
+  b.ack_to(0.75, FlowBuilder::seg(2) + 1);
   const auto fa = b.analyze();
   ASSERT_EQ(fa.stalls.size(), 1u);
   EXPECT_EQ(fa.stalls[0].cause, StallCause::kRetransmission);
@@ -113,18 +39,18 @@ TEST(AnalyzerExtra, PersistProbeGapsClassifiedAsZeroWindow) {
   b.request(0.1);
   b.data(0.15, 0);
   b.data(0.15, 1);
-  b.ack(0.25, FlowBuilder::seg(2), /*window=*/0);  // buffer full
+  b.ack_to(0.25, FlowBuilder::seg(2), /*window=*/0);  // buffer full
   // Persist probe (1 byte) after ~RTO; window still zero.
   b.data(0.65, 2, 1);
-  b.ack(0.75, FlowBuilder::seg(2) + 1, /*window=*/0);
+  b.ack_to(0.75, FlowBuilder::seg(2) + 1, /*window=*/0);
   // Second probe after a backed-off interval.
   {
     auto& p = b.add(1.55, true);
-    p.seq = FlowBuilder::seg(2) + 1;
-    p.flags.ack = true;
-    p.payload = 1;
+    p.tcp.seq = FlowBuilder::seg(2) + 1;
+    p.tcp.flags.ack = true;
+    p.payload_len = 1;
   }
-  b.ack(1.65, FlowBuilder::seg(2) + 2, kBigWindow);  // window reopens
+  b.ack_to(1.65, FlowBuilder::seg(2) + 2, kBigWindow);  // window reopens
   const auto fa = b.analyze();
   ASSERT_GE(fa.stalls.size(), 2u);
   for (const auto& s : fa.stalls) {
@@ -141,33 +67,19 @@ TEST(AnalyzerExtra, ResponseBoundariesFromMultipleRequests) {
   b.request(0.1);
   b.data(0.15, 0);
   b.data(0.15, 1);  // lost: tail of response 1
-  b.ack(0.25, FlowBuilder::seg(1));
+  b.ack_to(0.25, FlowBuilder::seg(1));
   b.data(0.65, 1);  // timeout retransmission
-  b.ack(0.75, FlowBuilder::seg(2));
+  b.ack_to(0.75, FlowBuilder::seg(2));
   // Request 2 and a long second response.
-  b.request(0.80);
+  b.request(0.80, 200, /*req_seq=*/kClientIsn + 1);
   for (int i = 2; i < 12; ++i) b.data(0.85, i);
-  b.ack(0.95, FlowBuilder::seg(12));
+  b.ack_to(0.95, FlowBuilder::seg(12));
   const auto fa = b.analyze();
   bool tail_found = false;
   for (const auto& s : fa.stalls) {
     if (s.retrans_cause == RetransCause::kTailRetrans) tail_found = true;
   }
   EXPECT_TRUE(tail_found);
-}
-
-TEST(AnalyzerExtra, InflightSamplingCanBeDisabled) {
-  FlowBuilder b;
-  b.handshake();
-  b.request(0.1);
-  b.data(0.15, 0);
-  b.ack(0.25, FlowBuilder::seg(1));
-  AnalyzerConfig cfg;
-  cfg.sample_inflight_on_ack = false;
-  const auto fa = b.analyze(cfg);
-  EXPECT_TRUE(fa.inflight_on_ack.empty());
-  AnalyzerConfig on;
-  EXPECT_FALSE(b.analyze(on).inflight_on_ack.empty());
 }
 
 TEST(AnalyzerExtra, RtoFractionConfigurable) {
@@ -179,11 +91,11 @@ TEST(AnalyzerExtra, RtoFractionConfigurable) {
   b.data(0.15, 0);
   b.data(0.15, 1);
   b.data(0.15, 2);
-  b.ack(0.25, FlowBuilder::seg(2));
+  b.ack_to(0.25, FlowBuilder::seg(2));
   // RTO estimate ~300 ms; retransmit the tail 210 ms after last activity
   // (260 ms after the segment's transmission: ~0.85*RTO).
   b.data(0.46, 2);
-  b.ack(0.56, FlowBuilder::seg(3));
+  b.ack_to(0.56, FlowBuilder::seg(3));
   AnalyzerConfig lax;
   lax.rto_fraction = 0.5;
   const auto fa_lax = b.analyze(lax);
@@ -202,11 +114,11 @@ TEST(AnalyzerExtra, SpeedExcludesStalledTime) {
   b.request(0.1);
   b.data(0.15, 0);
   b.data(0.15, 1);
-  b.ack(0.25, FlowBuilder::seg(2));
+  b.ack_to(0.25, FlowBuilder::seg(2));
   // One-second resource-constraint stall mid-flow.
   b.data(1.25, 2);
   b.data(1.25, 3);
-  b.ack(1.35, FlowBuilder::seg(4));
+  b.ack_to(1.35, FlowBuilder::seg(4));
   const auto fa = b.analyze();
   ASSERT_EQ(fa.stalls.size(), 1u);
   // Active data phase = 1.2 s total - 1.0 s stalled = 0.2 s for 4000 bytes.

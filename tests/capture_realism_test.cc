@@ -349,17 +349,6 @@ TEST(ConfigBuilders, AnalyzerConfigValidates) {
   EXPECT_THROW(analysis::Analyzer{bad}, std::invalid_argument);
 }
 
-TEST(ConfigBuilders, DemuxOptionsValidates) {
-  analysis::DemuxOptions d;
-  EXPECT_THROW(d.with_min_packets(0), std::invalid_argument);
-  EXPECT_NO_THROW(d.with_server_port(8080).with_min_packets(2).validate());
-
-  analysis::DemuxOptions bad;
-  bad.min_packets = 0;
-  net::PacketTrace trace;
-  EXPECT_THROW(analysis::demux_flow_views(trace, bad), std::invalid_argument);
-}
-
 TEST(ConfigBuilders, LiveConfigValidates) {
   analysis::LiveConfig c;
   EXPECT_THROW(c.with_idle_timeout(Duration::zero()), std::invalid_argument);
@@ -485,9 +474,7 @@ TEST(PcapSnaplen, TruncatedOptionsSurviveRoundTripAndAnalysis) {
   EXPECT_EQ(back[1].payload_len, 1448u);
 
   // The analyzer consumes the degraded capture and reports the truncation.
-  const auto result =
-      analysis::Analyzer{}.analyze(back, analysis::DemuxOptions{}
-                                             .with_min_packets(1));
+  const auto result = analysis::Analyzer{}.analyze(back);
   ASSERT_EQ(result.flows.size(), 1u);
   EXPECT_EQ(result.flows[0].capture.truncated_packets, 2u);
   EXPECT_LT(result.flows[0].capture.confidence, 1.0);

@@ -40,27 +40,32 @@ TEST(ConcurrencyRegistry, WritersRaceSnapshotters) {
   constexpr int kWriters = 4;
   constexpr int kIters = 5000;
   test::Latch start(1);
+  // Writers pause halfway until the first snapshot is in, so at least one
+  // snapshot always overlaps the writes, however the threads get scheduled.
+  test::Latch first_snapshot(1);
   std::atomic<bool> done{false};
   std::size_t snapshots_taken = 0;
   std::thread snapshotter([&] {
     start.wait();
-    while (!done.load()) {
+    do {
       const auto snap = reg.snapshot();
       std::ostringstream prom;
       reg.export_prometheus(prom);
-      ASSERT_GE(prom.str().size(), snap.empty() ? 0u : 1u);
+      EXPECT_GE(prom.str().size(), snap.empty() ? 0u : 1u);
       ++snapshots_taken;
-    }
+      first_snapshot.count_down();
+    } while (!done.load());
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&reg, &start, t] {
+    writers.emplace_back([&reg, &start, &first_snapshot, t] {
       start.wait();
       auto& mine = reg.counter("tapo_test_conc_writer_total",
                                {{"writer", std::to_string(t)}});
       auto& shared = reg.counter("tapo_test_conc_shared_total");
       auto& hist = reg.histogram("tapo_test_conc_us");
       for (int i = 0; i < kIters; ++i) {
+        if (i == kIters / 2) first_snapshot.wait();
         mine.add(1);
         shared.add(1);
         hist.observe(static_cast<std::uint64_t>(i));

@@ -1,16 +1,20 @@
-// Zero-copy data-path tests: the view-based demux+analysis pipeline must be
-// bit-identical to the copying path on randomized simulated workloads, view
-// lifetimes must follow the sort-then-demux rule, and the pcap reader must
-// keep its arena consistent across rejected/truncated frames.
+// Zero-copy data-path tests: batch analysis (one demux over the whole
+// trace) must be bit-identical to the streaming LiveAnalyzer on randomized
+// simulated workloads, view lifetimes must follow the sort-then-demux rule,
+// and the pcap reader must keep its arena consistent across
+// rejected/truncated frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "pcap/pcap.h"
 #include "tapo/analyzer.h"
+#include "tapo/live.h"
 #include "util/rng.h"
 #include "workload/experiment.h"
 #include "workload/profiles.h"
@@ -19,9 +23,9 @@ namespace tapo::analysis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Deep FlowAnalysis equality. EXPECT_EQ on doubles is deliberate: both paths
-// must execute the identical instruction stream, so results are bit-equal,
-// not merely close.
+// Deep FlowAnalysis equality. EXPECT_EQ on doubles is deliberate: both
+// drivers run the identical per-flow kernel, so results are bit-equal, not
+// merely close.
 // ---------------------------------------------------------------------------
 
 void expect_same_stall(const StallRecord& a, const StallRecord& b) {
@@ -64,23 +68,34 @@ void expect_same_analysis(const FlowAnalysis& a, const FlowAnalysis& b) {
   }
 }
 
-/// Runs both pipelines over `trace` and asserts flow-by-flow equality.
-void expect_view_path_matches_copy_path(const net::PacketTrace& trace) {
-  const Analyzer analyzer;
-  const std::vector<Flow> flows = demux_flows(trace);
-  const FlowViewSet views = demux_flow_views(trace);
-  ASSERT_EQ(flows.size(), views.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    ASSERT_EQ(flows[i].packets.size(), views[i].size());
-    EXPECT_EQ(flows[i].server_to_client, views[i].server_to_client);
-    expect_same_analysis(analyzer.analyze_flow(flows[i]),
-                         analyzer.analyze_flow(views[i]));
+/// Analyzes `trace` with the batch Analyzer (one demux over the whole
+/// trace) and with an unbounded LiveAnalyzer (per-flow arenas, no
+/// timeouts or caps, so every flow is analyzed whole at flush), and asserts
+/// the two drivers agree flow by flow, matched by flow key.
+void expect_batch_matches_live(const net::PacketTrace& trace) {
+  const AnalysisResult batch = Analyzer{}.analyze(trace);
+  ASSERT_GT(batch.flows.size(), 0u);
+
+  LiveConfig unbounded;
+  unbounded.with_idle_timeout(Duration::max())
+      .with_fin_linger(Duration::max())
+      .with_max_flows(std::numeric_limits<std::size_t>::max())
+      .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max());
+  std::unordered_map<net::FlowKey, FlowAnalysis, net::FlowKeyHash> live;
+  LiveAnalyzer analyzer(unbounded, [&live](const FlowAnalysis& fa) {
+    EXPECT_TRUE(live.emplace(fa.key, fa).second) << fa.key.to_string();
+  });
+  for (const net::CapturedPacket& pkt : trace.packets()) {
+    analyzer.add_packet(pkt);
   }
-  // And through the Analyzer::analyze entry point (view path by default).
-  const AnalysisResult whole = analyzer.analyze(trace);
-  ASSERT_EQ(whole.flows.size(), flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    expect_same_analysis(analyzer.analyze_flow(flows[i]), whole.flows[i]);
+  analyzer.flush();
+
+  ASSERT_EQ(live.size(), batch.flows.size());
+  for (const FlowAnalysis& fa : batch.flows) {
+    SCOPED_TRACE(fa.key.to_string());
+    const auto it = live.find(fa.key);
+    ASSERT_NE(it, live.end());
+    expect_same_analysis(fa, it->second);
   }
 }
 
@@ -127,26 +142,26 @@ std::vector<ProfileCase> all_profiles() {
           {"web_search", workload::web_search_profile()}};
 }
 
-TEST(ZeroCopyProperty, ViewAnalysisBitIdenticalToCopyAnalysis) {
+TEST(ZeroCopyProperty, BatchAnalysisBitIdenticalToLiveAnalysis) {
   for (const auto& [name, profile] : all_profiles()) {
     SCOPED_TRACE(name);
     net::PacketTrace trace = merged_trace(profile, /*seed=*/1234, 6);
     ASSERT_GT(trace.size(), 0u);
     trace.sort_by_time();  // interleave the flows chronologically
-    expect_view_path_matches_copy_path(trace);
+    expect_batch_matches_live(trace);
   }
 }
 
 TEST(ZeroCopyProperty, HoldsOnShuffledCaptureOrder) {
   // Demux preserves per-flow capture order whatever the global order is;
-  // both paths must agree on arbitrarily permuted traces too (their output
-  // just reflects the garbled timestamps identically).
+  // both drivers must agree on arbitrarily permuted traces too (their
+  // output just reflects the garbled timestamps identically).
   for (const auto& [name, profile] : all_profiles()) {
     SCOPED_TRACE(name);
     const net::PacketTrace base = merged_trace(profile, /*seed=*/77, 4);
     ASSERT_GT(base.size(), 0u);
     const net::PacketTrace garbled = shuffled(base, /*seed=*/5);
-    expect_view_path_matches_copy_path(garbled);
+    expect_batch_matches_live(garbled);
   }
 }
 
@@ -174,8 +189,8 @@ TEST(ZeroCopyProperty, ViewsSurviveSortCalledBeforeDemux) {
       prev = cp.timestamp;
     }
   }
-  // The sorted trace analyzes identically via both paths.
-  expect_view_path_matches_copy_path(work);
+  // The sorted trace analyzes identically via both drivers.
+  expect_batch_matches_live(work);
 }
 
 TEST(ZeroCopy, FlowViewSetSurvivesMove) {
@@ -192,10 +207,8 @@ TEST(ZeroCopy, FlowViewSetSurvivesMove) {
 }
 
 TEST(ZeroCopy, PacketRecordsStayCompact) {
-  // The static_asserts enforce these at compile time; restating the sizes
-  // here keeps the budget visible in test output when they change.
-  EXPECT_LE(sizeof(FlowPacket), 32u);
-  EXPECT_TRUE(std::is_trivially_copyable_v<FlowPacket>);
+  // The static_asserts enforce these at compile time; restating them here
+  // keeps the contract visible in test output when it changes.
   EXPECT_TRUE(std::is_trivially_copyable_v<net::CapturedPacket>);
   EXPECT_TRUE(std::is_trivially_copyable_v<net::TcpHeader>);
 }

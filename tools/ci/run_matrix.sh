@@ -14,8 +14,9 @@
 #   ubsan    -fsanitize=undefined, full ctest
 #   tsan     -fsanitize=thread, full ctest (includes the runner_parallel_tsan
 #            and telemetry_tsan race-check entries), then an explicit
-#            `concurrency`-labeled pass: the annotated-mutex API tests and
-#            the Registry/SharedLiveAnalyzer/FleetAggregator lock-contention
+#            `concurrency`-labeled pass, repeated until failure (at most
+#            20 times): the annotated-mutex API tests and the
+#            Registry/SharedLiveAnalyzer/FleetAggregator lock-contention
 #            stress suites race-checked under TSan
 #   thread-safety  Clang-only static gate: builds with clang++ and
 #            -DTAPO_THREAD_SAFETY=ON (-Wthread-safety -Werror=thread-safety
@@ -90,10 +91,12 @@ for cfg in "${CONFIGS[@]}"; do
     tsan)
       build_and_test tsan thread
       # The full sweep above already ran every test instrumented; this
-      # labeled pass gives CI one stable race-check gate to point at.
-      echo "=== [tsan] ctest -L concurrency ==="
+      # labeled pass gives CI one stable race-check gate to point at. It
+      # repeats until a failure (20 runs at most) so an ordering-dependent
+      # flake fails CI instead of passing by luck.
+      echo "=== [tsan] ctest -L concurrency --repeat until-fail:20 ==="
       ctest --test-dir build-ci/tsan --output-on-failure -j "${JOBS}" \
-        -L concurrency
+        -L concurrency --repeat until-fail:20
       ;;
     thread-safety)
       dir="build-ci/thread-safety"
